@@ -68,6 +68,9 @@ var annotationFloors = map[string]map[string]int{
 	"repro/internal/dissem": {
 		"arena": 4, // per-node view scratch (broadcast, gossip, delta×2)
 	},
+	"repro/internal/sim": {
+		"arena": 3, // Engine heap, slot slab and free list
+	},
 }
 
 // jsonFinding is the -json output shape for one diagnostic.

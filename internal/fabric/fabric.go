@@ -208,23 +208,22 @@ func (n *Network) Send(p *packet.Packet) {
 		return
 	}
 	p.SentAt = n.eng.Now()
-	ingress := func() { n.forward(src, p) }
 	if n.opt.EndpointDelay > 0 {
-		n.eng.After(n.opt.EndpointDelay, ingress)
+		n.eng.After(n.opt.EndpointDelay, func() { n.forward(src, p) })
 		return
 	}
-	ingress()
+	n.forward(src, p)
 }
 
 // arrive handles a packet reaching a node: local delivery or next hop,
-// after per-hop processing.
+// after per-hop processing. Each closure in this file is built only on the
+// branch that hands it on, so a hook-free, undelayed hop allocates none.
 func (n *Network) arrive(node graph.NodeID, p *packet.Packet) {
-	step := func() { n.forward(node, p) }
 	if n.opt.Hook != nil {
-		n.opt.Hook(node, p, step)
+		n.opt.Hook(node, p, func() { n.forward(node, p) })
 		return
 	}
-	step()
+	n.forward(node, p)
 }
 
 func (n *Network) forward(node graph.NodeID, p *packet.Packet) {
@@ -239,12 +238,11 @@ func (n *Network) forward(node graph.NodeID, p *packet.Packet) {
 			return
 		}
 		n.Delivered++
-		deliver := func() { h(p) }
 		if n.opt.EndpointDelay > 0 {
-			n.eng.After(n.opt.EndpointDelay, deliver)
+			n.eng.After(n.opt.EndpointDelay, func() { h(p) })
 			return
 		}
-		deliver()
+		h(p)
 		return
 	}
 	link, ok := n.nextHop(node, dstNode)
@@ -257,12 +255,11 @@ func (n *Network) forward(node graph.NodeID, p *packet.Packet) {
 		n.DroppedNoRoute++
 		return
 	}
-	emit := func() { pipe.tb.Enqueue(p) }
 	if n.opt.PerHopDelay > 0 && n.g.Node(node).Kind == graph.Bridge {
-		n.eng.After(n.opt.PerHopDelay, emit)
+		n.eng.After(n.opt.PerHopDelay, func() { pipe.tb.Enqueue(p) })
 		return
 	}
-	emit()
+	pipe.tb.Enqueue(p)
 }
 
 // nextHop returns the outgoing link id from node toward dst, computing and

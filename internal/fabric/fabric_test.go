@@ -290,3 +290,33 @@ func BenchmarkFabricForwarding(b *testing.B) {
 	}
 	eng.RunAll()
 }
+
+// TestForwardingAllocs pins the per-packet allocation count of a
+// hook-free, undelayed fabric path (no endpoint delay, no bridge): the
+// only allocation left is the netem stage's delivery closure, one per
+// link traversed. The hook and delay branches, which do build closures,
+// are covered by TestHopHook, TestEndpointDelay and
+// TestPerHopDelayAppliesAtBridges.
+func TestForwardingAllocs(t *testing.T) {
+	eng := sim.NewEngine(1)
+	g := graph.New()
+	a := g.MustAddNode("a", graph.Service)
+	b := g.MustAddNode("b", graph.Service)
+	g.AddBiLink(a, b, props(time.Millisecond, units.Gbps))
+	nw := New(eng, g, Options{})
+	ipA, ipB := packet.MakeIP(0, 0, 1), packet.MakeIP(0, 0, 2)
+	got := 0
+	nw.AttachEndpoint(a, ipA, nil)
+	nw.AttachEndpoint(b, ipB, func(*packet.Packet) { got++ })
+	p := &packet.Packet{Src: ipA, Dst: ipB, Size: 1500, Proto: packet.UDP}
+	n := testing.AllocsPerRun(1000, func() {
+		nw.Send(p)
+		eng.RunAll()
+	})
+	if n > 1 {
+		t.Errorf("%v allocs per forwarded packet, want <= 1 (the netem delivery closure)", n)
+	}
+	if got != 1001 {
+		t.Fatalf("delivered %d packets, want 1001", got)
+	}
+}

@@ -50,10 +50,15 @@ type TokenBucket struct {
 	tokens float64 // bytes
 	last   time.Duration
 
+	// queue[head:] is the FIFO backlog. Popping advances head, which
+	// resets when the backlog empties; Enqueue compacts a full slice, so
+	// the backing array is reused rather than reallocated per packet.
 	queue    []*packet.Packet
-	queued   int  // bytes
-	draining bool // a future drain is scheduled
-	inDrain  bool // the drain loop is on the stack (reentrancy guard)
+	head     int
+	queued   int    // bytes
+	draining bool   // a future drain is scheduled
+	inDrain  bool   // the drain loop is on the stack (reentrancy guard)
+	drainFn  func() // the scheduled drain, built once
 
 	// OnDequeue, when set, runs after a drain pass that released at
 	// least one packet — the hook the TCAL uses to wake TSQ-throttled
@@ -73,6 +78,10 @@ type TokenBucket struct {
 // 100 ms worth of bytes at the configured rate (min 16 KiB).
 func NewTokenBucket(eng *sim.Engine, rate units.Bandwidth, next func(*packet.Packet)) *TokenBucket {
 	tb := &TokenBucket{eng: eng, next: next}
+	tb.drainFn = func() {
+		tb.draining = false
+		tb.drain()
+	}
 	tb.SetRate(rate)
 	tb.tokens = tb.burst
 	tb.last = eng.Now()
@@ -97,7 +106,7 @@ func (tb *TokenBucket) SetRate(rate units.Bandwidth) {
 	if tb.tokens > tb.burst {
 		tb.tokens = tb.burst
 	}
-	if len(tb.queue) > 0 && !tb.draining {
+	if tb.backlogged() && !tb.draining {
 		tb.drain()
 	}
 }
@@ -119,6 +128,9 @@ func (tb *TokenBucket) QueueLimit() int { return tb.limit }
 // Backlog returns the queued byte count.
 func (tb *TokenBucket) Backlog() int { return tb.queued }
 
+// backlogged reports whether any packet is queued.
+func (tb *TokenBucket) backlogged() bool { return tb.head < len(tb.queue) }
+
 func (tb *TokenBucket) refill() {
 	now := tb.eng.Now()
 	if tb.rate > 0 {
@@ -138,10 +150,15 @@ func (tb *TokenBucket) Enqueue(p *packet.Packet) {
 		tb.next(p)
 		return
 	}
-	if tb.queued+p.Size > tb.limit && len(tb.queue) > 0 {
+	if tb.queued+p.Size > tb.limit && tb.backlogged() {
 		tb.Dropped++
 		tb.DroppedBytes += int64(p.Size)
 		return
+	}
+	if tb.head > 0 && len(tb.queue) == cap(tb.queue) {
+		n := copy(tb.queue, tb.queue[tb.head:])
+		clear(tb.queue[n:])
+		tb.queue, tb.head = tb.queue[:n], 0
 	}
 	tb.queue = append(tb.queue, p)
 	tb.queued += p.Size
@@ -154,12 +171,15 @@ func (tb *TokenBucket) drain() {
 	tb.inDrain = true
 	tb.refill()
 	released := false
-	for len(tb.queue) > 0 {
-		head := tb.queue[0]
+	for tb.backlogged() {
+		head := tb.queue[tb.head]
 		need := float64(head.Size)
 		if tb.tokens >= need {
 			tb.tokens -= need
-			tb.queue = tb.queue[1:]
+			tb.queue[tb.head] = nil
+			if tb.head++; tb.head == len(tb.queue) {
+				tb.queue, tb.head = tb.queue[:0], 0
+			}
 			tb.queued -= head.Size
 			tb.SentBytes += int64(head.Size)
 			tb.SentPackets++
@@ -174,13 +194,7 @@ func (tb *TokenBucket) drain() {
 			wait = time.Microsecond
 		}
 		tb.draining = true
-		// Packet-wait scheduling is the data plane: it allocates a timer
-		// event by design and never runs in a quiescent control period.
-		//kollaps:coldpath
-		tb.eng.After(wait, func() {
-			tb.draining = false
-			tb.drain()
-		})
+		tb.eng.After(wait, tb.drainFn)
 		break
 	}
 	tb.inDrain = false

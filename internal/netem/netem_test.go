@@ -318,3 +318,47 @@ func BenchmarkU32Classify(b *testing.B) {
 		f.Classify(p)
 	}
 }
+
+// TestTokenBucketSteadyStateAllocs: a shaper whose backlog empties and
+// refills, with a token wait on every other packet, allocates nothing
+// per packet once warm — the FIFO reuses its backing array and the
+// drain wait reuses one cached callback.
+func TestTokenBucketSteadyStateAllocs(t *testing.T) {
+	eng := sim.NewEngine(1)
+	sent := 0
+	tb := NewTokenBucket(eng, 8*units.Mbps, func(p *packet.Packet) { sent++ }) // 1500 B per 1.5 ms
+	p := mkPacket(1500)
+	n := testing.AllocsPerRun(1000, func() {
+		tb.Enqueue(p) // passes on the burst allowance
+		tb.Enqueue(p) // waits for tokens
+		eng.Run(eng.Now() + 3*time.Millisecond)
+	})
+	if n != 0 {
+		t.Errorf("%v allocs per enqueue/drain round, want 0", n)
+	}
+	if sent != 2*1001 || tb.Backlog() != 0 {
+		t.Fatalf("sent %d packets with %d bytes left, want %d and 0", sent, tb.Backlog(), 2*1001)
+	}
+}
+
+// TestTokenBucketQueueCapacityBounded: a backlog that never empties
+// (one packet in, one out, forever) must not grow its backing array.
+func TestTokenBucketQueueCapacityBounded(t *testing.T) {
+	eng := sim.NewEngine(1)
+	tb := NewTokenBucket(eng, 12*units.Mbps, func(*packet.Packet) {}) // 1500 B per 1 ms
+	tb.tokens = 0
+	p := mkPacket(1500)
+	for i := 0; i < 8; i++ {
+		tb.Enqueue(p)
+	}
+	for i := 0; i < 10000; i++ {
+		tb.Enqueue(p)
+		eng.Run(eng.Now() + time.Millisecond)
+		if tb.Backlog() == 0 {
+			t.Fatalf("round %d: backlog emptied; the test needs a standing queue", i)
+		}
+	}
+	if c := cap(tb.queue); c > 32 {
+		t.Fatalf("queue capacity %d after 10000 rounds of a ~9-packet backlog, want <= 32", c)
+	}
+}

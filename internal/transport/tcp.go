@@ -134,6 +134,7 @@ type Conn struct {
 
 	rtoTimer sim.Timer
 	rtoSet   bool
+	rtoFn    func() // c.onRTO, bound once: armRTO runs per segment
 
 	// Receiver state. ooo holds received-but-not-in-order byte ranges,
 	// sorted by start and coalesced, so SACK blocks describe large
@@ -256,7 +257,7 @@ func (s *Stack) allocPort() uint16 {
 }
 
 func (s *Stack) newConn(id fourTuple, cc CongestionControl) *Conn {
-	return &Conn{
+	c := &Conn{
 		stack:    s,
 		id:       id,
 		cc:       cc,
@@ -264,6 +265,8 @@ func (s *Stack) newConn(id fourTuple, cc CongestionControl) *Conn {
 		ssthresh: math.MaxFloat64 / 4,
 		rto:      initialRTO,
 	}
+	c.rtoFn = c.onRTO
+	return c
 }
 
 // receive is the stack's packet handler.
@@ -587,7 +590,7 @@ func (c *Conn) armRTO() {
 		c.rtoTimer.Stop()
 	}
 	c.rtoSet = true
-	c.rtoTimer = c.stack.eng.After(c.rto, c.onRTO)
+	c.rtoTimer = c.stack.eng.After(c.rto, c.rtoFn)
 }
 
 func (c *Conn) disarmRTO() {

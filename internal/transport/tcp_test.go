@@ -538,3 +538,21 @@ func TestWriteMsgBidirectional(t *testing.T) {
 		t.Fatalf("responses = %v", got)
 	}
 }
+
+// TestArmRTOAllocs: re-arming the retransmission timer, which happens on
+// every segment sent, allocates nothing — the engine reuses the stopped
+// timer's slot and the callback is bound once per connection.
+func TestArmRTOAllocs(t *testing.T) {
+	eng, cli, srv := testNet(t, gigLink(), 1)
+	srv.Listen(80, &Listener{})
+	c := cli.Dial(srv.IP(), 80, Cubic)
+	eng.Run(time.Second)
+	if !c.Established() {
+		t.Fatal("connection not established")
+	}
+	c.armRTO()
+	if n := testing.AllocsPerRun(1000, func() { c.armRTO() }); n != 0 {
+		t.Errorf("armRTO: %v allocs, want 0", n)
+	}
+	c.disarmRTO()
+}
